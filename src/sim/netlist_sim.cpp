@@ -27,6 +27,7 @@ NetlistSimReport simulate_netlist(const circuit::Netlist& net, const tech::Techn
                                   const tech::BufferLibrary& lib,
                                   const NetlistSimOptions& opt) {
     net.validate();
+    opt.solver.validate();
     const std::vector<circuit::Stage> stages = circuit::decompose(net, tech, lib, opt.decompose);
 
     const Waveform source = Waveform::ramp(tech.vdd, opt.source_slew_ps, opt.source_start_ps,

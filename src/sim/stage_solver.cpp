@@ -1,7 +1,9 @@
 #include "sim/stage_solver.h"
 
 #include <cmath>
-#include <stdexcept>
+#include <string>
+
+#include "util/status.h"
 
 namespace ctsim::sim {
 
@@ -23,48 +25,67 @@ double newton_clamp(double v, double prev, double vdd) {
     return std::min(std::max(v, -0.5), vdd + 0.5);
 }
 
-/// O(n) solver for the symmetric tree system (D + offdiag) x = rhs.
-/// Node 0 is the root; node i>0 couples only to parent[i] with entry
-/// -theta*g[i]. If `fixed_root` is set, x[0] is prescribed and the
-/// root row is skipped.
+/// Solver for the symmetric tree system (D + offdiag) x = rhs. Node 0
+/// is the root; node i>0 couples only to parent[i] with entry
+/// -theta*g[i]. Only the root diagonal changes between solves, so the
+/// non-root pivots are eliminated once, here; `eliminate` folds one
+/// step's rhs up to the root's children, `root` solves the remaining
+/// 1x1 root row and `back_substitute` fills in the rest. Each sum adds
+/// its terms in the order of a full leaf-to-root elimination
+/// (descending child index), so results match it bit for bit.
 class TreeSolve {
   public:
     TreeSolve(const circuit::RcTree& tree, double c_over_h, double theta)
-        : n_(tree.size()), parent_(n_), g_(n_), gth_(n_), base_diag_(n_) {
+        : n_(tree.size()), parent_(n_), g_(n_), gth_(n_), pivot_(n_), f_(n_), work_(n_) {
         for (int i = 0; i < n_; ++i) {
             const circuit::RcNode& nd = tree.node(i);
             parent_[i] = nd.parent;
             g_[i] = i == 0 ? 0.0 : 1.0 / nd.res_to_parent_kohm;
             gth_[i] = theta * g_[i];
-            base_diag_[i] = nd.cap_ff * c_over_h;
+            pivot_[i] = nd.cap_ff * c_over_h;
         }
         for (int i = 1; i < n_; ++i) {
-            base_diag_[i] += gth_[i];
-            base_diag_[parent_[i]] += gth_[i];
+            pivot_[i] += gth_[i];
+            pivot_[parent_[i]] += gth_[i];
         }
-        diag_.resize(n_);
-        work_.resize(n_);
+        // Children have larger indices, so each pivot is final before
+        // it is used. pivot_[0] stays the base root diagonal.
+        for (int i = n_ - 1; i >= 1; --i) {
+            f_[i] = gth_[i] / pivot_[i];
+            if (parent_[i] == 0)
+                root_children_.push_back(i);
+            else
+                pivot_[parent_[i]] -= f_[i] * gth_[i];
+        }
     }
 
-    int size() const { return n_; }
     double g(int i) const { return g_[i]; }
     int parent(int i) const { return parent_[i]; }
 
-    /// Solve with optional extra conductance on the root diagonal
-    /// (Newton linearization) and either a free or a fixed root.
-    void solve(const std::vector<double>& rhs, double extra_root_diag, bool fixed_root,
-               double root_value, std::vector<double>& x) {
-        diag_ = base_diag_;
-        diag_[0] += extra_root_diag;
-        work_ = rhs;
-        // Leaf-to-root elimination (children have larger indices).
-        for (int i = n_ - 1; i >= 1; --i) {
-            const double f = gth_[i] / diag_[i];
-            diag_[parent_[i]] -= f * gth_[i];
-            work_[parent_[i]] += f * work_[i];
+    /// This step's rhs; `eliminate` transforms it in place.
+    std::vector<double>& rhs() { return work_; }
+
+    /// Leaf-to-root elimination of the rhs below the root.
+    void eliminate() {
+        for (int i = n_ - 1; i >= 1; --i)
+            if (parent_[i] != 0) work_[parent_[i]] += f_[i] * work_[i];
+    }
+
+    /// Root value when the root row gets extra current `extra_rhs` and
+    /// extra diagonal conductance `extra_diag`.
+    double root(double extra_rhs, double extra_diag) const {
+        double d = pivot_[0] + extra_diag;
+        double w = work_[0] + extra_rhs;
+        for (const int c : root_children_) {
+            d -= f_[c] * gth_[c];
+            w += f_[c] * work_[c];
         }
-        x[0] = fixed_root ? root_value : work_[0] / diag_[0];
-        for (int i = 1; i < n_; ++i) x[i] = (work_[i] + gth_[i] * x[parent_[i]]) / diag_[i];
+        return w / d;
+    }
+
+    void back_substitute(double x0, std::vector<double>& x) const {
+        x[0] = x0;
+        for (int i = 1; i < n_; ++i) x[i] = (work_[i] + gth_[i] * x[parent_[i]]) / pivot_[i];
     }
 
   private:
@@ -72,27 +93,55 @@ class TreeSolve {
     std::vector<int> parent_;
     std::vector<double> g_;
     std::vector<double> gth_;
-    std::vector<double> base_diag_;
-    std::vector<double> diag_;
-    std::vector<double> work_;
+    std::vector<double> pivot_;  ///< eliminated diagonal, except the root's
+    std::vector<double> f_;      ///< elimination factor gth[i] / pivot[i]
+    std::vector<double> work_;   ///< this step's rhs, eliminated below the root
+    std::vector<int> root_children_;  ///< in descending index order
 };
 
-}  // namespace
+/// An inverter whose input voltage is fixed for the current step: the
+/// gate terms of both devices are evaluated once, and only the drain
+/// part runs per Newton iterate of the output voltage.
+struct InverterGate {
+    tech::MosGate n;
+    tech::MosGate p;
+};
 
-InverterEval inverter_current(const tech::Technology& t, const tech::InverterGeom& g,
-                              double vin, double vout) {
-    const tech::MosCurrent n = tech::mos_current(t.nmos, g.nmos_width_um, vin, vout);
-    const tech::MosCurrent p =
-        tech::mos_current(t.pmos, g.pmos_width_um, t.vdd - vin, t.vdd - vout);
+InverterGate inverter_gate(const tech::Technology& t, const tech::InverterGeom& g, double vin) {
+    return {tech::mos_gate(t.nmos, g.nmos_width_um, vin),
+            tech::mos_gate(t.pmos, g.pmos_width_um, t.vdd - vin)};
+}
+
+InverterEval inverter_current(const tech::Technology& t, const InverterGate& g, double vout) {
+    const tech::MosCurrent n = tech::mos_drain(t.nmos, g.n, vout);
+    const tech::MosCurrent p = tech::mos_drain(t.pmos, g.p, t.vdd - vout);
     InverterEval e;
     e.i_out_ma = p.id - n.id;
     e.di_dvout = -p.did_dvds - n.did_dvds;
     return e;
 }
 
+}  // namespace
+
+InverterEval inverter_current(const tech::Technology& t, const tech::InverterGeom& g,
+                              double vin, double vout) {
+    return inverter_current(t, inverter_gate(t, g, vin), vout);
+}
+
+void SolverOptions::validate() const {
+    const auto bad = [](const char* what) {
+        util::throw_status(util::Status::invalid_input(std::string("solver options: ") + what));
+    };
+    if (!std::isfinite(dt_ps) || dt_ps <= 0.0) bad("dt_ps must be finite and > 0");
+    if (!(theta > 0.0 && theta <= 1.0)) bad("theta must be in (0, 1]");
+    if (!(max_window_ps > 0.0)) bad("max_window_ps must be > 0");
+    if (max_newton_iters < 1) bad("max_newton_iters must be >= 1");
+}
+
 StageResult simulate_stage(const circuit::RcTree& tree, const tech::BufferType* driver,
                            const Waveform& input, const std::vector<int>& taps,
                            const tech::Technology& tech, const SolverOptions& opt) {
+    opt.validate();
     const int n = tree.size();
     const double h = opt.dt_ps;
     const double theta = opt.theta;
@@ -111,7 +160,8 @@ StageResult simulate_stage(const circuit::RcTree& tree, const tech::BufferType* 
     CrossingTracker internal_tracker(tech.vdd);
     std::vector<std::vector<double>> tap_samples(taps.size());
 
-    std::vector<double> rhs(n), gv(n), rhs_it(n);
+    std::vector<double> gv(n);
+    std::vector<double>& rhs = solver.rhs();
 
     StageResult out;
     out.node_timing.resize(n);
@@ -133,8 +183,9 @@ StageResult simulate_stage(const circuit::RcTree& tree, const tech::BufferType* 
         if (driver) {
             // Stage-1 inverter drives only the internal cap. Backward
             // Euler + scalar Newton: (cm/h)(v'-v) = i1(vin', v').
+            const InverterGate g1 = inverter_gate(tech, driver->stage1, vin_new);
             for (int it = 0; it < opt.max_newton_iters; ++it) {
-                const InverterEval e1 = inverter_current(tech, driver->stage1, vin_new, vm_new);
+                const InverterEval e1 = inverter_current(tech, g1, vm_new);
                 const double f =
                     c_over_h * cm * (vm_new - vm) - e1.i_out_ma + kGmin * vm_new;
                 const double fp = c_over_h * cm - e1.di_dvout + kGmin;
@@ -154,31 +205,27 @@ StageResult simulate_stage(const circuit::RcTree& tree, const tech::BufferType* 
         for (int i = 0; i < n; ++i)
             rhs[i] = c_over_h * tree.node(i).cap_ff * v[i] - (1.0 - theta) * gv[i];
 
+        solver.eliminate();
         if (!driver) {
             // Ideal source: root voltage prescribed at t_new.
-            solver.solve(rhs, 0.0, /*fixed_root=*/true, vin_new, v_next);
+            solver.back_substitute(vin_new, v_next);
         } else {
-            // Newton around the root nonlinearity (backward Euler on
-            // the device current).
+            // Scalar Newton on the root, the only node the stage-2
+            // device touches (backward Euler on the device current).
+            const InverterGate g2 = inverter_gate(tech, driver->stage2, vm_new);
+            const auto root_solve = [&](double v0) {
+                const InverterEval e2 = inverter_current(tech, g2, v0);
+                return solver.root(e2.i_out_ma + (-e2.di_dvout) * v0, -e2.di_dvout + kGmin);
+            };
             double v0 = v[0];
             for (int it = 0; it < opt.max_newton_iters; ++it) {
-                const InverterEval e2 = inverter_current(tech, driver->stage2, vm_new, v0);
-                const double gnl = -e2.di_dvout + kGmin;  // >= 0
-                rhs_it = rhs;
-                rhs_it[0] += e2.i_out_ma + (-e2.di_dvout) * v0;
-                solver.solve(rhs_it, gnl, /*fixed_root=*/false, 0.0, v_next);
                 const double prev = v0;
-                v0 = newton_clamp(v_next[0], prev, tech.vdd);
+                v0 = newton_clamp(root_solve(v0), prev, tech.vdd);
                 if (std::abs(v0 - prev) < opt.newton_tol_v) break;
             }
-            // Re-solve the whole tree consistently with the converged
-            // root linearization (cheap: one more O(n) pass).
-            {
-                const InverterEval e2 = inverter_current(tech, driver->stage2, vm_new, v0);
-                rhs_it = rhs;
-                rhs_it[0] += e2.i_out_ma + (-e2.di_dvout) * v0;
-                solver.solve(rhs_it, -e2.di_dvout + kGmin, false, 0.0, v_next);
-            }
+            // Solve the tree consistently with the converged root
+            // linearization.
+            solver.back_substitute(root_solve(v0), v_next);
         }
 
         v.swap(v_next);

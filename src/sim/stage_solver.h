@@ -8,12 +8,21 @@
 //  * device (inverter) currents are treated fully implicitly
 //    (backward Euler), which kills the nonlinear limit cycles plain
 //    trapezoidal exhibits on strongly driven light loads;
-//  * the RC tree gives a symmetric tree-structured system solved
-//    exactly in O(n) per step (leaf-to-root elimination, no fill-in);
-//  * the buffer's two inverters are the only nonlinear elements.
-//    Stage 1 drives only the internal node (scalar Newton); stage 2
-//    injects into the tree root, handled by Newton iteration around
-//    the O(n) tree solve (only the root diagonal changes).
+//  * the RC tree gives a symmetric tree-structured system with no
+//    fill-in. Only the root diagonal ever changes, so the non-root
+//    pivots are factored once per stage; each step eliminates its rhs
+//    leaf-to-root once (O(n)) and back-substitutes once (O(n));
+//  * the buffer's two inverters are the only nonlinear elements, and
+//    each sees a fixed input voltage within a step, so its gate terms
+//    (the power-law part of the device model) are evaluated once per
+//    step. Stage 1 drives only the internal node; stage 2 injects
+//    into the tree root. Both are scalar Newton loops, the stage-2 one
+//    on the eliminated 1x1 root system (O(root children) per iterate).
+//
+// The floating-point operations, and their order, are those of
+// re-eliminating the whole tree per Newton iterate, so results are
+// bit-identical to that textbook form; tests/sim_golden_test.cpp pins
+// them exactly (see docs/simulation.md).
 //
 // This is the "SPICE" of this repository: the characterization sweeps
 // of Chapter 3 and the final verification of Tables 5.1-5.3 both run
@@ -49,6 +58,11 @@ struct SolverOptions {
     double tail_ps{25.0};         ///< extra time simulated after settling
     double newton_tol_v{1e-7};
     int max_newton_iters{50};
+
+    /// Throws util::Error(invalid_input) unless dt_ps is finite and
+    /// > 0, theta is in (0, 1], max_window_ps > 0 and
+    /// max_newton_iters >= 1 (a bad step never advances time).
+    void validate() const;
 };
 
 struct NodeTiming {

@@ -3,11 +3,26 @@
 #include <cmath>
 #include <numbers>
 
+#include "util/status.h"
+
 namespace ctsim::sim {
+
+namespace {
+
+/// Samples covering `span_ps` at step `dt_ps`, plus two of margin.
+int sample_count(double span_ps, double dt_ps) {
+    const double n = std::ceil(span_ps / dt_ps);
+    if (!(dt_ps > 0.0) || !(n >= 0.0 && n < 1e9))
+        util::throw_status(util::Status::invalid_input(
+            "waveform: slew and step must give a finite sample count"));
+    return static_cast<int>(n) + 2;
+}
+
+}  // namespace
 
 Waveform Waveform::ramp(double vdd, double slew_ps, double t_start_ps, double dt_ps) {
     const double ramp_len = slew_ps / 0.8;  // 10-90% occupies 80% of the ramp
-    const int n = static_cast<int>(std::ceil(ramp_len / dt_ps)) + 2;
+    const int n = sample_count(ramp_len, dt_ps);
     std::vector<double> s(n);
     for (int i = 0; i < n; ++i) {
         const double t = i * dt_ps;
@@ -22,7 +37,7 @@ Waveform Waveform::smooth(double vdd, double slew_ps, double t_start_ps, double 
     // slew = T * (acos(-0.8) - acos(0.8)) / pi = T * 0.590334.
     const double frac = (std::acos(-0.8) - std::acos(0.8)) / std::numbers::pi;
     const double total = slew_ps / frac;
-    const int n = static_cast<int>(std::ceil(total / dt_ps)) + 2;
+    const int n = sample_count(total, dt_ps);
     std::vector<double> s(n);
     for (int i = 0; i < n; ++i) {
         const double t = i * dt_ps;

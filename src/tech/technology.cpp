@@ -5,8 +5,21 @@
 
 namespace ctsim::tech {
 
-MosCurrent mos_current(const MosParams& p, double width_um, double vgs, double vds) {
+MosGate mos_gate(const MosParams& p, double width_um, double vgs) {
+    MosGate g;
+    const double vov = vgs - p.vt;
+    if (vov <= 0.0) return g;  // cut-off: gmin elsewhere keeps Newton regular
+    g.on = true;
+    g.idsat0 = p.k_ma_per_um * width_um * std::pow(vov, p.alpha);
+    g.didsat0_dvgs = p.k_ma_per_um * width_um * p.alpha * std::pow(vov, p.alpha - 1.0);
+    g.vdsat = p.vdsat_coef * std::pow(vov, p.alpha / 2.0);
+    g.dvdsat_dvgs = p.vdsat_coef * (p.alpha / 2.0) * std::pow(vov, p.alpha / 2.0 - 1.0);
+    return g;
+}
+
+MosCurrent mos_drain(const MosParams& p, const MosGate& g, double vds) {
     MosCurrent out;
+    if (!g.on) return out;
     // Reverse conduction (vds < 0) is handled by antisymmetry; in a
     // correctly biased inverter it only occurs transiently for tiny
     // overshoots, but the solver must stay consistent there.
@@ -15,29 +28,21 @@ MosCurrent mos_current(const MosParams& p, double width_um, double vgs, double v
         sign = -1.0;
         vds = -vds;
     }
-    const double vov = vgs - p.vt;
-    if (vov <= 0.0) return out;  // cut-off: gmin elsewhere keeps Newton regular
-
-    const double idsat0 = p.k_ma_per_um * width_um * std::pow(vov, p.alpha);
-    const double didsat0_dvgs = p.k_ma_per_um * width_um * p.alpha * std::pow(vov, p.alpha - 1.0);
-    const double vdsat = p.vdsat_coef * std::pow(vov, p.alpha / 2.0);
-    const double dvdsat_dvgs = p.vdsat_coef * (p.alpha / 2.0) * std::pow(vov, p.alpha / 2.0 - 1.0);
-
     const double clm = 1.0 + p.lambda * vds;  // channel-length modulation
-    if (vds >= vdsat) {
-        out.id = idsat0 * clm;
-        out.did_dvds = idsat0 * p.lambda;
-        out.did_dvgs = didsat0_dvgs * clm;
+    if (vds >= g.vdsat) {
+        out.id = g.idsat0 * clm;
+        out.did_dvds = g.idsat0 * p.lambda;
+        out.did_dvgs = g.didsat0_dvgs * clm;
     } else {
         // Quadratic triode interpolation: matches value and slope of the
         // saturation branch at vds = vdsat.
-        const double x = vds / vdsat;
+        const double x = vds / g.vdsat;
         const double shape = x * (2.0 - x);
-        out.id = idsat0 * shape * clm;
-        out.did_dvds = idsat0 * ((2.0 - 2.0 * x) / vdsat * clm + shape * p.lambda);
+        out.id = g.idsat0 * shape * clm;
+        out.did_dvds = g.idsat0 * ((2.0 - 2.0 * x) / g.vdsat * clm + shape * p.lambda);
         // d(shape)/dvgs via dx/dvgs = -x/vdsat * dvdsat/dvgs.
-        const double dx_dvgs = -(x / vdsat) * dvdsat_dvgs;
-        out.did_dvgs = (didsat0_dvgs * shape + idsat0 * (2.0 - 2.0 * x) * dx_dvgs) * clm;
+        const double dx_dvgs = -(x / g.vdsat) * g.dvdsat_dvgs;
+        out.did_dvgs = (g.didsat0_dvgs * shape + g.idsat0 * (2.0 - 2.0 * x) * dx_dvgs) * clm;
     }
     out.id *= sign;
     out.did_dvgs *= sign;

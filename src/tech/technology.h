@@ -37,7 +37,23 @@ struct MosCurrent {
     double did_dvds{0.0};  ///< [mA/V]
 };
 
-MosCurrent mos_current(const MosParams& p, double width_um, double vgs, double vds);
+/// The gate-voltage part of the device model: the four power-law
+/// terms at one vgs. A Newton loop on the drain voltage with the gate
+/// held fixed evaluates this once and only `mos_drain` per iterate.
+struct MosGate {
+    bool on{false};             ///< vgs above threshold
+    double idsat0{0.0};         ///< k W vov^alpha [mA]
+    double didsat0_dvgs{0.0};   ///< [mA/V]
+    double vdsat{0.0};          ///< [V]
+    double dvdsat_dvgs{0.0};
+};
+
+MosGate mos_gate(const MosParams& p, double width_um, double vgs);
+MosCurrent mos_drain(const MosParams& p, const MosGate& g, double vds);
+
+inline MosCurrent mos_current(const MosParams& p, double width_um, double vgs, double vds) {
+    return mos_drain(p, mos_gate(p, width_um, vgs), vds);
+}
 
 /// Full process + interconnect description.
 struct Technology {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "circuit/rc_tree.h"
 #include "sim/netlist_sim.h"
 #include "sim/stage_solver.h"
 #include "sim/waveform.h"
+#include "util/status.h"
 
 namespace ctsim::sim {
 namespace {
@@ -144,6 +146,79 @@ TEST(StageSolver, InputSlewAffectsBufferDelay) {
         delay[i++] = *r.node_timing[1].t50 - *in.t50(tk.vdd);
     }
     EXPECT_GT(std::abs(delay[1] - delay[0]), 2.0);  // several ps of shift
+}
+
+// A step that never advances time used to hang the solver; every bad
+// option is now a typed invalid_input error, raised before any step.
+TEST(StageSolver, RejectsInvalidOptions) {
+    circuit::RcTree t;
+    t.add_node(0, 1.0, 100.0);
+    const Waveform in = Waveform::ramp(1.0, 10.0, 5.0, 0.5);
+    const auto rejects = [&](const SolverOptions& opt) {
+        try {
+            simulate_stage(t, nullptr, in, {}, tek(), opt);
+        } catch (const util::Error& e) {
+            return e.status().code() == util::StatusCode::invalid_input;
+        }
+        return false;
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double dt : {0.0, -1.0, nan, inf}) {
+        SolverOptions opt;
+        opt.dt_ps = dt;
+        EXPECT_TRUE(rejects(opt)) << "dt_ps " << dt;
+    }
+    for (const double theta : {0.0, -0.5, 1.5, nan}) {
+        SolverOptions opt;
+        opt.theta = theta;
+        EXPECT_TRUE(rejects(opt)) << "theta " << theta;
+    }
+    for (const double window : {0.0, -10.0, nan}) {
+        SolverOptions opt;
+        opt.max_window_ps = window;
+        EXPECT_TRUE(rejects(opt)) << "max_window_ps " << window;
+    }
+    for (const int iters : {0, -3}) {
+        SolverOptions opt;
+        opt.max_newton_iters = iters;
+        EXPECT_TRUE(rejects(opt)) << "max_newton_iters " << iters;
+    }
+    SolverOptions edge;
+    edge.theta = 1.0;  // backward Euler is the inclusive end of the range
+    edge.max_newton_iters = 1;
+    EXPECT_FALSE(rejects(edge));
+}
+
+TEST(NetlistSim, RejectsInvalidStepBeforeBuildingTheSource) {
+    const tech::Technology tk = tek();
+    const tech::BufferLibrary lib = tech::BufferLibrary::standard_three(tk);
+    circuit::Netlist net;
+    const int src = net.add_node({0, 0});
+    const int bo = net.add_node({0, 0});
+    net.add_buffer(src, bo, 1);
+    net.add_wire(bo, net.add_node({300, 0}, 10.0, "a"), 300.0);
+    net.set_source(src);
+    ASSERT_TRUE(simulate_netlist(net, tk, lib).complete);
+    for (const double dt : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        NetlistSimOptions opt;
+        opt.solver.dt_ps = dt;
+        try {
+            simulate_netlist(net, tk, lib, opt);
+            ADD_FAILURE() << "dt_ps " << dt << " accepted";
+        } catch (const util::Error& e) {
+            EXPECT_EQ(e.status().code(), util::StatusCode::invalid_input) << "dt_ps " << dt;
+        }
+    }
+}
+
+TEST(Waveform, RejectsStepWithoutFiniteSampleCount) {
+    for (const double dt : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(Waveform::ramp(1.0, 50.0, 0.0, dt), util::Error) << "dt " << dt;
+        EXPECT_THROW(Waveform::smooth(1.0, 50.0, 0.0, dt), util::Error) << "dt " << dt;
+    }
+    EXPECT_THROW(Waveform::ramp(1.0, std::numeric_limits<double>::infinity(), 0.0, 1.0),
+                 util::Error);
 }
 
 TEST(NetlistSim, TwoSinkSymmetricTreeHasTinySkew) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "tech/buffer_lib.h"
 #include "tech/technology.h"
@@ -59,6 +61,80 @@ TEST_F(MosModel, AntisymmetricInVds) {
     const MosCurrent pos = mos_current(t.nmos, 1.0, 0.9, 0.3);
     const MosCurrent neg = mos_current(t.nmos, 1.0, 0.9, -0.3);
     EXPECT_NEAR(neg.id, -pos.id, 1e-12);
+}
+
+// The alpha-power model as one function, the form it had before the
+// gate/drain split: the reference the split must reproduce exactly.
+MosCurrent unsplit_mos_current(const MosParams& p, double width_um, double vgs, double vds) {
+    MosCurrent out;
+    double sign = 1.0;
+    if (vds < 0.0) {
+        sign = -1.0;
+        vds = -vds;
+    }
+    const double vov = vgs - p.vt;
+    if (vov <= 0.0) return out;
+    const double idsat0 = p.k_ma_per_um * width_um * std::pow(vov, p.alpha);
+    const double didsat0_dvgs = p.k_ma_per_um * width_um * p.alpha * std::pow(vov, p.alpha - 1.0);
+    const double vdsat = p.vdsat_coef * std::pow(vov, p.alpha / 2.0);
+    const double dvdsat_dvgs = p.vdsat_coef * (p.alpha / 2.0) * std::pow(vov, p.alpha / 2.0 - 1.0);
+    const double clm = 1.0 + p.lambda * vds;
+    if (vds >= vdsat) {
+        out.id = idsat0 * clm;
+        out.did_dvds = idsat0 * p.lambda;
+        out.did_dvgs = didsat0_dvgs * clm;
+    } else {
+        const double x = vds / vdsat;
+        const double shape = x * (2.0 - x);
+        out.id = idsat0 * shape * clm;
+        out.did_dvds = idsat0 * ((2.0 - 2.0 * x) / vdsat * clm + shape * p.lambda);
+        const double dx_dvgs = -(x / vdsat) * dvdsat_dvgs;
+        out.did_dvgs = (didsat0_dvgs * shape + idsat0 * (2.0 - 2.0 * x) * dx_dvgs) * clm;
+    }
+    out.id *= sign;
+    out.did_dvgs *= sign;
+    return out;
+}
+
+// The solver evaluates the gate part once per step and the drain part
+// per Newton iterate; the composition, and the four-argument model
+// built from it, must equal the unsplit model bit for bit, in every
+// region and for both device types.
+TEST_F(MosModel, GateDrainSplitIsBitExact) {
+    const auto same = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof(double)) == 0;
+    };
+    for (const MosParams* p : {&t.nmos, &t.pmos}) {
+        const double w = p == &t.nmos ? 0.7 : 1.9;
+        std::vector<double> vgs_grid = {-0.2, 0.0, p->vt - 1e-9, p->vt, p->vt + 1e-9};
+        for (int i = 0; i <= 24; ++i) vgs_grid.push_back(0.05 * i);
+        for (const double vgs : vgs_grid) {
+            const MosGate g = mos_gate(*p, w, vgs);
+            std::vector<double> vds_grid = {-0.6, -1e-12, -0.0, 0.0, 1e-12};
+            for (int i = -12; i <= 24; ++i) vds_grid.push_back(0.05 * i);
+            if (g.on) {
+                for (const double d : {-1e-12, 0.0, 1e-12}) {
+                    vds_grid.push_back(g.vdsat + d);   // the triode/saturation boundary
+                    vds_grid.push_back(-g.vdsat + d);  // and its mirror
+                }
+            }
+            for (const double vds : vds_grid) {
+                const MosCurrent want = unsplit_mos_current(*p, w, vgs, vds);
+                for (const MosCurrent& got : {mos_drain(*p, g, vds), mos_current(*p, w, vgs, vds)})
+                    EXPECT_TRUE(same(got.id, want.id) && same(got.did_dvgs, want.did_dvgs) &&
+                                same(got.did_dvds, want.did_dvds))
+                        << (p == &t.nmos ? "nmos" : "pmos") << " vgs " << vgs << " vds " << vds;
+            }
+        }
+    }
+}
+
+TEST_F(MosModel, GateTermsOffBelowThreshold) {
+    EXPECT_FALSE(mos_gate(t.nmos, 1.0, t.nmos.vt).on);
+    const MosGate on = mos_gate(t.pmos, 1.0, t.vdd);
+    EXPECT_TRUE(on.on);
+    EXPECT_GT(on.idsat0, 0.0);
+    EXPECT_GT(on.vdsat, 0.0);
 }
 
 TEST(Wire, TenXScaling) {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "tests/golden_common.h"
+#include "tests/sim_golden_common.h"
 
 int main(int argc, char** argv) {
     using namespace ctsim::testutil;
@@ -50,6 +51,17 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "cannot write %s\n", golden_path(inst).c_str());
             return 2;
         }
+    }
+    // The exact transient-simulation pin (sim_golden_common.h).
+    const std::string sim_text = render_sim_golden();
+    const std::optional<std::string> sim_old = read_sim_golden();
+    const bool sim_drift = !sim_old || *sim_old != sim_text;
+    drift |= sim_drift;
+    std::printf("%-12s %s\n", "sim_exact",
+                !sim_old ? "NEW" : (sim_drift ? "[DRIFT] not bit-identical" : "bit-identical"));
+    if (write && !write_sim_golden(sim_text)) {
+        std::fprintf(stderr, "cannot write %s\n", sim_golden_path().c_str());
+        return 2;
     }
     if (write) {
         std::printf("snapshots written.\n");
