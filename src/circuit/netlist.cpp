@@ -2,8 +2,19 @@
 
 #include <queue>
 #include <stdexcept>
+#include <utility>
+
+#include "util/status.h"
 
 namespace ctsim::circuit {
+
+namespace {
+
+[[noreturn]] void reject(std::string message) {
+    util::throw_status(util::Status::invalid_input(std::move(message)));
+}
+
+}  // namespace
 
 int Netlist::add_node(geom::Pt pos, double sink_cap_ff, std::string name) {
     nodes_.push_back(NetNode{pos, sink_cap_ff, std::move(name)});
@@ -38,7 +49,7 @@ double Netlist::total_wire_length_um() const {
 
 void Netlist::validate() const {
     if (source_ < 0 || source_ >= node_count())
-        throw std::runtime_error("netlist: missing or invalid source node");
+        reject("netlist: missing or invalid source node");
 
     // Adjacency over wires and (directed) over buffers.
     std::vector<std::vector<int>> wire_adj(node_count());
@@ -66,14 +77,13 @@ void Netlist::validate() const {
             } else if (v != parent[u]) {
                 // A wire back to an already-seen node that is not our
                 // BFS parent closes a cycle in the wire graph.
-                throw std::runtime_error("netlist: wire cycle detected near node " +
-                                         std::to_string(v));
+                reject("netlist: wire cycle detected near node " + std::to_string(v));
             }
         }
         for (int v : buf_out[u]) {
             if (seen[v])
-                throw std::runtime_error("netlist: buffer output re-enters visited net at node " +
-                                         std::to_string(v));
+                reject("netlist: buffer output re-enters visited net at node " +
+                       std::to_string(v));
             seen[v] = 1;
             parent[v] = u;
             q.push(v);
@@ -82,12 +92,10 @@ void Netlist::validate() const {
 
     for (int i = 0; i < node_count(); ++i)
         if (nodes_[i].sink_cap_ff > 0.0 && !seen[i])
-            throw std::runtime_error("netlist: sink unreachable from source: " +
-                                     std::to_string(i));
+            reject("netlist: sink unreachable from source: " + std::to_string(i));
     for (const BufferInst& b : buffers_)
         if (!seen[b.in_node])
-            throw std::runtime_error("netlist: dangling buffer at node " +
-                                     std::to_string(b.in_node));
+            reject("netlist: dangling buffer at node " + std::to_string(b.in_node));
 }
 
 }  // namespace ctsim::circuit

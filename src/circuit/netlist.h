@@ -61,7 +61,8 @@ class Netlist {
 
     /// Structural validation: connected from the source, wires form a
     /// tree (no loops), every buffer input is reachable, every sink is
-    /// reached. Throws std::runtime_error describing the first defect.
+    /// reached. Throws util::Error (invalid_input) describing the first
+    /// defect.
     void validate() const;
 
   private:

@@ -2,7 +2,8 @@
 
 #include <cmath>
 #include <queue>
-#include <stdexcept>
+
+#include "util/status.h"
 
 namespace ctsim::circuit {
 
@@ -39,8 +40,8 @@ std::vector<Stage> decompose(const Netlist& net, const tech::Technology& tech,
         const auto [driver, root] = roots.front();
         roots.pop();
         if (stage_done[root])
-            throw std::runtime_error("stage decomposition: node driven twice: " +
-                                     std::to_string(root));
+            util::throw_status(util::Status::invalid_input(
+                "stage decomposition: node driven twice: " + std::to_string(root)));
         stage_done[root] = 1;
 
         Stage st;

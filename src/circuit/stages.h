@@ -44,7 +44,9 @@ struct DecomposeOptions {
 
 /// Decompose `net` into stages in topological order (drivers before
 /// the stages their loads drive). Wire RC values and buffer gate caps
-/// come from `tech` / `lib`.
+/// come from `tech` / `lib`. Stages come in BFS order over the stage
+/// tree, so each stage-tree level is a contiguous range. Throws
+/// util::Error (invalid_input) if a net node is driven twice.
 std::vector<Stage> decompose(const Netlist& net, const tech::Technology& tech,
                              const tech::BufferLibrary& lib,
                              const DecomposeOptions& opt = {});

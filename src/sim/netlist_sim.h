@@ -2,10 +2,12 @@
 //
 // Decomposes the netlist into buffer-bounded stages, simulates them in
 // topological order propagating real waveforms across buffer
-// boundaries, and reports exactly what the paper's tables report from
-// SPICE: worst slew over all nodes, clock skew, and maximum latency
-// (Sec 5.1: "The worst slew, the skew, and the maximum latency are
-// obtained from SPICE simulation of the clock tree netlist").
+// boundaries (the stages of one stage-tree level concurrently, with a
+// report bit-identical at any width), and reports exactly what the
+// paper's tables report from SPICE: worst slew over all nodes, clock
+// skew, and maximum latency (Sec 5.1: "The worst slew, the skew, and
+// the maximum latency are obtained from SPICE simulation of the clock
+// tree netlist").
 #ifndef CTSIM_SIM_NETLIST_SIM_H
 #define CTSIM_SIM_NETLIST_SIM_H
 
@@ -40,6 +42,11 @@ struct NetlistSimOptions {
     circuit::DecomposeOptions decompose{};
 };
 
+/// Runs each stage-tree level on min(level width, hardware threads)
+/// threads; the report does not depend on the count. Throws
+/// util::Error: invalid_input for a defective netlist or a bad solver
+/// option (see SolverOptions::validate), internal if the decomposition
+/// orders a stage before its driver.
 NetlistSimReport simulate_netlist(const circuit::Netlist& net, const tech::Technology& tech,
                                   const tech::BufferLibrary& lib,
                                   const NetlistSimOptions& opt = {});

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "circuit/netlist.h"
 #include "circuit/rc_tree.h"
 #include "circuit/spice_writer.h"
 #include "circuit/stages.h"
+#include "util/status.h"
 
 namespace ctsim::circuit {
 namespace {
@@ -55,6 +57,17 @@ class NetlistFixture : public ::testing::Test {
     int src{-1}, mid{-1}, bufout{-1}, sink{-1};
 };
 
+/// The StatusCode `fn` throws as a util::Error; `ok` if it does not.
+template <class F>
+util::StatusCode thrown_code(F&& fn) {
+    try {
+        fn();
+    } catch (const util::Error& e) {
+        return e.status().code();
+    }
+    return util::StatusCode::ok;
+}
+
 TEST_F(NetlistFixture, ValidatesCleanTree) {
     build();
     EXPECT_NO_THROW(net.validate());
@@ -66,6 +79,7 @@ TEST_F(NetlistFixture, DetectsWireCycle) {
     build();
     net.add_wire(src, sink, 100.0);  // closes a loop through the buffer? no: wire loop src..sink
     EXPECT_THROW(net.validate(), std::runtime_error);
+    EXPECT_EQ(thrown_code([&] { net.validate(); }), util::StatusCode::invalid_input);
 }
 
 TEST_F(NetlistFixture, DetectsMissingSource) {
@@ -73,12 +87,38 @@ TEST_F(NetlistFixture, DetectsMissingSource) {
     Netlist empty;
     empty.add_node({0, 0}, 5.0);
     EXPECT_THROW(empty.validate(), std::runtime_error);
+    EXPECT_EQ(thrown_code([&] { empty.validate(); }), util::StatusCode::invalid_input);
 }
 
 TEST_F(NetlistFixture, DetectsUnreachableSink) {
     build();
     net.add_node({9, 9}, 3.0, "lost");
     EXPECT_THROW(net.validate(), std::runtime_error);
+    EXPECT_EQ(thrown_code([&] { net.validate(); }), util::StatusCode::invalid_input);
+}
+
+TEST_F(NetlistFixture, DetectsBufferReenteringItsNetAndDanglingBuffer) {
+    build();
+    Netlist reenter = net;
+    reenter.add_buffer(bufout, mid, 0);  // output back onto the source net
+    EXPECT_EQ(thrown_code([&] { reenter.validate(); }), util::StatusCode::invalid_input);
+    const int far = net.add_node({7, 7});
+    net.add_buffer(far, net.add_node({7, 7}), 0);
+    EXPECT_EQ(thrown_code([&] { net.validate(); }), util::StatusCode::invalid_input);
+}
+
+TEST_F(NetlistFixture, DecomposeRejectsNodeDrivenTwice) {
+    build();
+    net.add_buffer(mid, bufout, 1);  // a second buffer onto the same output
+    const tech::Technology tk = tek();
+    const tech::BufferLibrary lib = tech::BufferLibrary::standard_three(tk);
+    try {
+        decompose(net, tk, lib);
+        ADD_FAILURE() << "node driven twice accepted";
+    } catch (const util::Error& e) {
+        EXPECT_EQ(e.status().code(), util::StatusCode::invalid_input);
+        EXPECT_NE(std::string(e.what()).find("node driven twice"), std::string::npos);
+    }
 }
 
 TEST_F(NetlistFixture, StageDecompositionSplitsAtBuffer) {

@@ -190,7 +190,7 @@ TEST(StageSolver, RejectsInvalidOptions) {
     EXPECT_FALSE(rejects(edge));
 }
 
-TEST(NetlistSim, RejectsInvalidStepBeforeBuildingTheSource) {
+TEST(NetlistSim, RejectsInvalidInputBeforeBuildingTheSource) {
     const tech::Technology tk = tek();
     const tech::BufferLibrary lib = tech::BufferLibrary::standard_three(tk);
     circuit::Netlist net;
@@ -200,16 +200,22 @@ TEST(NetlistSim, RejectsInvalidStepBeforeBuildingTheSource) {
     net.add_wire(bo, net.add_node({300, 0}, 10.0, "a"), 300.0);
     net.set_source(src);
     ASSERT_TRUE(simulate_netlist(net, tk, lib).complete);
+    const auto rejects = [&](const circuit::Netlist& n, const NetlistSimOptions& opt) {
+        try {
+            simulate_netlist(n, tk, lib, opt);
+        } catch (const util::Error& e) {
+            return e.status().code() == util::StatusCode::invalid_input;
+        }
+        return false;
+    };
     for (const double dt : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
         NetlistSimOptions opt;
         opt.solver.dt_ps = dt;
-        try {
-            simulate_netlist(net, tk, lib, opt);
-            ADD_FAILURE() << "dt_ps " << dt << " accepted";
-        } catch (const util::Error& e) {
-            EXPECT_EQ(e.status().code(), util::StatusCode::invalid_input) << "dt_ps " << dt;
-        }
+        EXPECT_TRUE(rejects(net, opt)) << "dt_ps " << dt;
     }
+    circuit::Netlist lost = net;
+    lost.add_node({900, 0}, 10.0, "unreachable");
+    EXPECT_TRUE(rejects(lost, {}));
 }
 
 TEST(Waveform, RejectsStepWithoutFiniteSampleCount) {
